@@ -52,13 +52,16 @@ func coverMain(args []string) {
 		rules = stars.DefaultRules()
 	}
 
-	acc := stars.NewCoverageAccumulator()
-	shapeSet := stars.NewPlanShapeSet()
+	var (
+		rep      *stars.CoverageReport
+		shapeSet *stars.PlanShapeSet
+	)
 	if fs.NArg() > 0 {
 		if *shapes {
 			fatal(fmt.Errorf("-shapes needs live optimizations to observe plan trees; it cannot replay provenance DAGs"))
 		}
 		// Replay mode: saved provenance DAGs instead of live runs.
+		acc := stars.NewCoverageAccumulator()
 		for _, path := range fs.Args() {
 			f, err := os.Open(path)
 			if err != nil {
@@ -72,30 +75,11 @@ func coverMain(args []string) {
 			acc.AddDAG(dag)
 		}
 		target += fmt.Sprintf(", %d replayed provenance DAG(s)", fs.NArg())
+		rep = acc.Report(rules)
+		markStaticallyDead(rep, opts)
 	} else {
-		for _, entry := range stars.WorkloadCorpus() {
-			sink := stars.NewSink()
-			o := opts
-			o.Obs = sink
-			res, err := stars.Optimize(entry.Cat, entry.Query, o)
-			if err != nil {
-				// A repertoire that cannot plan a corpus query (the
-				// outerjoin root is two-table by design, for instance)
-				// simply covers nothing on that entry.
-				fmt.Fprintf(os.Stderr, "cover: skipping %s: %v\n", entry.Name, err)
-				continue
-			}
-			shapeSet.Observe(res.Best)
-			acc.AddEvents(sink.Events())
-		}
+		rep, shapeSet = coverCorpus(opts, rules)
 	}
-
-	rep := acc.Report(rules)
-	// Cross-check against the static linter so never-exercised arms the
-	// analyzer already proves dead read as expected zeros, not workload
-	// gaps. The lint runs against the demo catalog: rule-set diagnostics
-	// don't depend on it.
-	rep.MarkStaticallyDead(stars.StaticallyDeadAlts(stars.Lint(stars.EmpDeptCatalog(), opts)))
 
 	switch {
 	case *jsonOut:
@@ -135,4 +119,38 @@ func coverMain(args []string) {
 	if fail {
 		os.Exit(1)
 	}
+}
+
+// coverCorpus optimizes the built-in workload corpus under opts and returns
+// the aggregated coverage report over the rules universe, statically dead
+// arms marked, plus the winning plans' shapes for -shapes.
+func coverCorpus(opts stars.Options, rules *stars.RuleSet) (*stars.CoverageReport, *stars.PlanShapeSet) {
+	acc := stars.NewCoverageAccumulator()
+	shapeSet := stars.NewPlanShapeSet()
+	for _, entry := range stars.WorkloadCorpus() {
+		sink := stars.NewSink()
+		o := opts
+		o.Obs = sink
+		res, err := stars.Optimize(entry.Cat, entry.Query, o)
+		if err != nil {
+			// A repertoire that cannot plan a corpus query (the
+			// outerjoin root is two-table by design, for instance)
+			// simply covers nothing on that entry.
+			fmt.Fprintf(os.Stderr, "cover: skipping %s: %v\n", entry.Name, err)
+			continue
+		}
+		shapeSet.Observe(res.Best)
+		acc.AddEvents(sink.Events())
+	}
+	rep := acc.Report(rules)
+	markStaticallyDead(rep, opts)
+	return rep, shapeSet
+}
+
+// markStaticallyDead cross-checks the report against the static linter so
+// never-exercised arms the analyzer already proves dead read as expected
+// zeros, not workload gaps. The lint runs against the demo catalog:
+// rule-set diagnostics don't depend on it.
+func markStaticallyDead(rep *stars.CoverageReport, opts stars.Options) {
+	rep.MarkStaticallyDead(stars.StaticallyDeadAlts(stars.Lint(stars.EmpDeptCatalog(), opts)))
 }
