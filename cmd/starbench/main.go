@@ -222,18 +222,18 @@ func main() {
 // reportCoverage runs the coverage workload corpus under the built-in
 // repertoire and prints alternative-space utilization alongside the
 // experiments' perf numbers: how much of the repertoire the representative
-// workload exercises (the deep report is `starburst cover`). Event-keeping
-// sinks are scoped to this section — the experiments themselves keep their
-// metrics-only observability.
+// workload exercises (the deep report is `starburst cover`). Each run gets
+// a metrics-only sink of its own: coverage is counted whenever a sink is
+// attached, and no event log is needed.
 func reportCoverage() {
 	acc := stars.NewCoverageAccumulator()
 	for _, entry := range stars.WorkloadCorpus() {
-		sink := stars.NewSink()
-		if _, err := stars.Optimize(entry.Cat, entry.Query, stars.Options{Obs: sink}); err != nil {
+		res, err := stars.Optimize(entry.Cat, entry.Query, stars.Options{Obs: stars.NewMetricsSink()})
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "coverage: %s: %v\n", entry.Name, err)
 			continue
 		}
-		acc.AddEvents(sink.Events())
+		acc.Add(res.Coverage)
 	}
 	rep := acc.Report(stars.DefaultRules())
 	s := rep.Summary

@@ -13,7 +13,7 @@ import (
 // alternatives a workload actually exercises — the `go test -cover` of
 // repertoires. It optimizes the built-in workload corpus (Figure 1 local
 // and distributed, chain joins, star joins) under the selected repertoire,
-// aggregates the per-alternative coverage events every observed run emits,
+// aggregates the per-alternative coverage tallies every observed run returns,
 // cross-checks the never-fired arms against the static linter, and reports.
 //
 //	starburst cover                        # built-in repertoire over the corpus
@@ -128,9 +128,8 @@ func coverCorpus(opts stars.Options, rules *stars.RuleSet) (*stars.CoverageRepor
 	acc := stars.NewCoverageAccumulator()
 	shapeSet := stars.NewPlanShapeSet()
 	for _, entry := range stars.WorkloadCorpus() {
-		sink := stars.NewSink()
 		o := opts
-		o.Obs = sink
+		o.Obs = stars.NewMetricsSink() // coverage is counted whenever a sink is attached
 		res, err := stars.Optimize(entry.Cat, entry.Query, o)
 		if err != nil {
 			// A repertoire that cannot plan a corpus query (the
@@ -140,7 +139,7 @@ func coverCorpus(opts stars.Options, rules *stars.RuleSet) (*stars.CoverageRepor
 			continue
 		}
 		shapeSet.Observe(res.Best)
-		acc.AddEvents(sink.Events())
+		acc.Add(res.Coverage)
 	}
 	rep := acc.Report(rules)
 	markStaticallyDead(rep, opts)

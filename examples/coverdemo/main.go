@@ -5,10 +5,10 @@
 //
 //	go run ./examples/coverdemo [-annotate]
 //
-// Every optimization run emits one opt.alt.coverage event per alternative
-// (including the ones that never fired); the accumulator folds the streams
-// together, the static linter marks arms the analyzer can already prove
-// dead, and the report separates "statically dead" from "statically clean
+// Every observed optimization returns one coverage tally per alternative
+// (including the ones that never fired) on Result.Coverage; the accumulator
+// folds the runs together, the static linter marks arms the analyzer can
+// already prove dead, and the report separates "statically dead" from "statically clean
 // but dynamically dead on this workload" — the gap a linter alone cannot
 // see. See docs/COVERAGE.md.
 package main
@@ -27,14 +27,13 @@ func main() {
 
 	acc := stars.NewCoverageAccumulator()
 	for _, entry := range stars.WorkloadCorpus() {
-		sink := stars.NewSink()
-		res, err := stars.Optimize(entry.Cat, entry.Query, stars.Options{Obs: sink})
+		res, err := stars.Optimize(entry.Cat, entry.Query, stars.Options{Obs: stars.NewMetricsSink()})
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", entry.Name, err))
 		}
-		runs := acc.AddEvents(sink.Events())
-		fmt.Printf("optimized %-13s cost %.0f  (%d coverage run(s) folded in)\n",
-			entry.Name, res.Best.Props.Cost.Total, runs)
+		acc.Add(res.Coverage)
+		fmt.Printf("optimized %-13s cost %.0f  (%d alternatives tallied)\n",
+			entry.Name, res.Best.Props.Cost.Total, len(res.Coverage.Alts))
 	}
 
 	rep := acc.Report(stars.DefaultRules())

@@ -1,4 +1,4 @@
-// Package coverage turns the optimizer's observability stream into coverage
+// Package coverage turns the optimizer's coverage tallies into coverage
 // reports over the alternative space: per STAR rule, alternative arm, and
 // Glue veneer operator, how often it fired, how many plans it built, how
 // many survived in the plan table, how many were pruned (and by whom), and
@@ -12,13 +12,13 @@
 // at worst — the cross-check with starcheck (CrossCheck) surfaces exactly
 // those.
 //
-// Inputs are the opt.alt.coverage / opt.veneer.coverage summary events the
-// optimizer appends to every observed run (AddEvents), or a saved provenance
-// DAG for replay (AddDAG). The accumulator merges any number of runs;
-// Report renders text, JSON (schema stars/coverage/v1), and an annotated
+// Inputs are the typed coverage summaries the optimizer returns on every
+// observed run (opt.Result.Coverage, fed to Add), or a saved provenance DAG
+// for replay (AddDAG). The accumulator merges any number of runs; Report
+// renders text, JSON (schema stars/coverage/v1), and an annotated
 // per-rule-file source view. Ledger adds the serving-time view: rolling
-// coverage plus a per-query-template Q-error digest fed by exec.feedback
-// events.
+// coverage plus a per-query-template Q-error digest fed by the executor's
+// typed feedback rows (exec.Result.Feedback).
 package coverage
 
 import (
@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"stars/internal/obs"
+	"stars/internal/opt"
 	"stars/internal/provenance"
 )
 
@@ -100,44 +101,23 @@ func (a *Accumulator) addAlt(c obs.AltCoverage) {
 	}
 }
 
-// AddEvents consumes the coverage summary events of one or more observed
-// optimizations (opt.alt.coverage / opt.veneer.coverage) and returns the
-// number of runs recognized. Non-coverage events are ignored, so the whole
-// event log of a run — or a merged stream of many runs — can be passed
-// verbatim.
-func (a *Accumulator) AddEvents(events []obs.Event) int {
-	runs := 0
-	var first altKey
-	for _, e := range events {
-		switch e.Name {
-		case obs.EvAltCoverage:
-			c, ok := obs.ParseAltCoverage(e)
-			if !ok {
-				continue
-			}
-			k := altKey{c.Rule, c.Alt}
-			if runs == 0 || k == first {
-				// Every run emits one event per alternative, in repertoire
-				// order: recurrences of the first key delimit runs.
-				if runs == 0 {
-					first = k
-				}
-				runs++
-			}
-			a.addAlt(c)
-		case obs.EvVeneerCoverage:
-			c, ok := obs.ParseVeneerCoverage(e)
-			if !ok {
-				continue
-			}
-			v := a.ensureVeneer(c.Op)
-			v.Injected += c.Injected
-			v.Retained += c.Retained
-			v.Winner += c.Winner
-		}
+// Add folds one optimization's coverage summary (opt.Result.Coverage) into
+// the aggregate as one run. A nil summary (observability was off) adds
+// nothing.
+func (a *Accumulator) Add(cov *opt.Coverage) {
+	if cov == nil {
+		return
 	}
-	a.runs += int64(runs)
-	return runs
+	a.runs++
+	for _, c := range cov.Alts {
+		a.addAlt(c)
+	}
+	for _, c := range cov.Veneers {
+		v := a.ensureVeneer(c.Op)
+		v.Injected += c.Injected
+		v.Retained += c.Retained
+		v.Winner += c.Winner
+	}
 }
 
 // AddDAG replays a saved provenance DAG (starburst -dag-out=....json) into

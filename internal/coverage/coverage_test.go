@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"stars/internal/coverage"
+	"stars/internal/exec"
 	"stars/internal/obs"
 	"stars/internal/opt"
 	"stars/internal/provenance"
@@ -15,39 +16,41 @@ import (
 	"stars/internal/workload"
 )
 
-// runCorpus optimizes every corpus entry under the given rules with an
-// event-keeping sink and accumulates the coverage events.
+// runCorpus optimizes every corpus entry under the given rules with a
+// metrics-only sink and accumulates the coverage tallies.
 func runCorpus(t *testing.T, rules *star.RuleSet) *coverage.Accumulator {
 	t.Helper()
 	acc := coverage.NewAccumulator()
 	for _, entry := range workload.Corpus() {
-		sink := obs.NewSink()
-		if _, err := opt.New(entry.Cat, opt.Options{Rules: rules, Obs: sink}).Optimize(entry.Query); err != nil {
+		res, err := opt.New(entry.Cat, opt.Options{Rules: rules, Obs: obs.NewMetricsSink()}).Optimize(entry.Query)
+		if err != nil {
 			t.Fatalf("%s: %v", entry.Name, err)
 		}
-		if n := acc.AddEvents(sink.Events()); n != 1 {
-			t.Fatalf("%s: AddEvents recognized %d runs, want 1", entry.Name, n)
+		if res.Coverage == nil {
+			t.Fatalf("%s: observed run returned no coverage", entry.Name)
 		}
+		acc.Add(res.Coverage)
 	}
 	return acc
 }
 
 func TestAccumulatorMergesRuns(t *testing.T) {
 	acc := coverage.NewAccumulator()
-	run := func(fired, winner int64) []obs.Event {
-		return []obs.Event{
-			(&obs.AltCoverage{Rule: "A", Alt: 1, Fired: fired, Built: fired, Winner: winner,
-				PrunedBy: map[string]int64{"B#1": 1}}).Event(),
-			(&obs.AltCoverage{Rule: "A", Alt: 2}).Event(),
-			(&obs.VeneerCoverage{Op: "SHIP", Injected: 2, Retained: 1}).Event(),
+	run := func(fired, winner int64) *opt.Coverage {
+		return &opt.Coverage{
+			Alts: []obs.AltCoverage{
+				{Rule: "A", Alt: 1, Fired: fired, Built: fired, Winner: winner,
+					PrunedBy: map[string]int64{"B#1": 1}},
+				{Rule: "A", Alt: 2},
+			},
+			Veneers: []obs.VeneerCoverage{{Op: "SHIP", Injected: 2, Retained: 1}},
 		}
 	}
-	// Two separate batches plus one merged stream of two runs: four total.
-	acc.AddEvents(run(3, 1))
-	acc.AddEvents(run(5, 0))
-	if n := acc.AddEvents(append(run(1, 0), run(1, 1)...)); n != 2 {
-		t.Fatalf("merged stream: recognized %d runs, want 2", n)
-	}
+	acc.Add(run(3, 1))
+	acc.Add(run(5, 0))
+	acc.Add(nil) // an unobserved run adds nothing
+	acc.Add(run(1, 0))
+	acc.Add(run(1, 1))
 	if acc.Runs() != 4 {
 		t.Fatalf("Runs() = %d, want 4", acc.Runs())
 	}
@@ -77,7 +80,7 @@ func TestReportZeroFillsUniverse(t *testing.T) {
 		universe += len(rules.Get(name).Alts)
 	}
 	acc := coverage.NewAccumulator()
-	acc.AddEvents([]obs.Event{(&obs.AltCoverage{Rule: "JMeth", Alt: 1, Fired: 2, Built: 2}).Event()})
+	acc.Add(&opt.Coverage{Alts: []obs.AltCoverage{{Rule: "JMeth", Alt: 1, Fired: 2, Built: 2}}})
 	rep := acc.Report(rules)
 	if rep.Summary.Alternatives != universe {
 		t.Fatalf("universe = %d alternatives, report has %d", universe, rep.Summary.Alternatives)
@@ -252,17 +255,12 @@ star Orphan(T, C, P) = [
 }
 
 func TestAddDAGReplay(t *testing.T) {
-	sink := obs.NewSink()
-	if _, err := opt.New(workload.EmpDept(), opt.Options{Obs: sink}).Optimize(workload.Figure1Query()); err != nil {
-		t.Fatal(err)
-	}
-	fromEvents := coverage.NewAccumulator()
-	fromEvents.AddEvents(sink.Events())
-
 	res, err := opt.New(workload.EmpDept(), opt.Options{Obs: obs.NewSink()}).Optimize(workload.Figure1Query())
 	if err != nil {
 		t.Fatal(err)
 	}
+	fromEvents := coverage.NewAccumulator()
+	fromEvents.Add(res.Coverage)
 	dag, err := provenance.FromResult(res)
 	if err != nil {
 		t.Fatal(err)
@@ -409,17 +407,14 @@ func TestSketchQuantiles(t *testing.T) {
 
 func TestLedger(t *testing.T) {
 	l := coverage.NewLedger(2)
-	feedback := func(op, fp string, rows int64, est, q float64) obs.Event {
-		return obs.Event{Name: obs.EvExecFeedback, A1: op, A2: fp, N1: rows, N2: 1, F1: est, F2: q}
+	cov := &opt.Coverage{Alts: []obs.AltCoverage{{Rule: "JMeth", Alt: 1, Fired: 1, Built: 1, Winner: 1}}}
+	feedback := []exec.Feedback{
+		{Op: "JOIN", Fingerprint: "aaaa", Rows: 100, Loops: 1, Est: 50, QError: 2},
+		{Op: "ACCESS", Fingerprint: "bbbb", Rows: 10, Loops: 1, Est: 10, QError: 1},
 	}
-	events := []obs.Event{
-		(&obs.AltCoverage{Rule: "JMeth", Alt: 1, Fired: 1, Built: 1, Winner: 1}).Event(),
-		feedback("JOIN", "aaaa", 100, 50, 2),
-		feedback("ACCESS", "bbbb", 10, 10, 1),
-	}
-	l.Record(coverage.Template("SELECT 1"), events)
-	l.Record(coverage.Template("SELECT 2"), events) // same template: literals collapse
-	l.Record("other", nil)                          // optimize-only request
+	l.Record(coverage.Template("SELECT 1"), cov, feedback)
+	l.Record(coverage.Template("SELECT 2"), cov, feedback) // same template: literals collapse
+	l.Record("other", nil, nil)                            // failed request
 
 	rep := l.Snapshot(nil)
 	if rep.Schema != coverage.SchemaV1 || rep.Requests != 3 {
@@ -462,8 +457,8 @@ func TestLedger(t *testing.T) {
 func TestLedgerBoundsTemplates(t *testing.T) {
 	l := coverage.NewLedger(2)
 	for _, tmpl := range []string{"a", "b", "c", "d"} {
-		l.Record(tmpl, []obs.Event{
-			{Name: obs.EvExecFeedback, A1: "JOIN", A2: "ffff", N1: 1, N2: 1, F1: 1, F2: 5},
+		l.Record(tmpl, nil, []exec.Feedback{
+			{Op: "JOIN", Fingerprint: "ffff", Rows: 1, Loops: 1, Est: 1, QError: 5},
 		})
 	}
 	rep := l.Snapshot(nil)

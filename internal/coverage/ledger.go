@@ -6,7 +6,9 @@ import (
 	"strings"
 	"sync"
 
+	"stars/internal/exec"
 	"stars/internal/obs"
+	"stars/internal/opt"
 	"stars/internal/star"
 )
 
@@ -189,8 +191,8 @@ func (s *Sketch) Digest() *QErrorDigest {
 	}
 }
 
-// opFeedback aggregates exec.feedback events for one plan operator within a
-// template.
+// opFeedback aggregates executor feedback rows for one plan operator
+// within a template.
 type opFeedback struct {
 	op   string
 	fp   string
@@ -215,7 +217,7 @@ const maxLedgerOps = 64
 
 // Ledger is the serving-time rolling view: coverage accumulated over every
 // optimized request plus a per-query-template Q-error digest fed by the
-// exec.feedback events an execute+analyze request emits. Safe for
+// feedback rows an execute+analyze request's executor returns. Safe for
 // concurrent use. Templates are bounded; once full, new templates fold into
 // the aggregate only.
 type Ledger struct {
@@ -241,15 +243,16 @@ func NewLedger(maxTemplates int) *Ledger {
 	}
 }
 
-// Record folds one request's event stream into the ledger under the given
-// template (normalize with Template). Coverage summary events update the
-// rolling accumulator; exec.feedback events update the template's and the
-// aggregate Q-error digests.
-func (l *Ledger) Record(template string, events []obs.Event) {
+// Record folds one request into the ledger under the given template
+// (normalize with Template): its coverage summary (nil when the request
+// failed before optimizing) updates the rolling accumulator, and its
+// executor feedback rows (nil unless executed with per-operator actuals)
+// update the template's and the aggregate Q-error digests.
+func (l *Ledger) Record(template string, cov *opt.Coverage, feedback []exec.Feedback) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.requests++
-	l.acc.AddEvents(events)
+	l.acc.Add(cov)
 
 	t := l.templates[template]
 	if t == nil && len(l.templates) < l.maxTemplates {
@@ -260,38 +263,33 @@ func (l *Ledger) Record(template string, events []obs.Event) {
 	if t != nil {
 		t.requests++
 	}
-	executed := false
-	for _, e := range events {
-		if e.Name != obs.EvExecFeedback {
-			continue
-		}
-		executed = true
-		l.all.Observe(e.F2)
+	for _, f := range feedback {
+		l.all.Observe(f.QError)
 		if t == nil {
 			continue
 		}
-		t.qerr.Observe(e.F2)
-		of := t.ops[e.A2]
+		t.qerr.Observe(f.QError)
+		of := t.ops[f.Fingerprint]
 		if of == nil {
 			if len(t.ops) >= maxLedgerOps {
 				continue
 			}
-			of = &opFeedback{op: e.A1, fp: e.A2}
-			t.ops[e.A2] = of
-			t.opOrder = append(t.opOrder, e.A2)
+			of = &opFeedback{op: f.Op, fp: f.Fingerprint}
+			t.ops[f.Fingerprint] = of
+			t.opOrder = append(t.opOrder, f.Fingerprint)
 		}
 		of.n++
-		of.est = e.F1
-		opens := e.N2
+		of.est = f.Est
+		opens := f.Loops
 		if opens < 1 {
 			opens = 1
 		}
-		of.act = float64(e.N1) / float64(opens)
-		if e.F2 > of.maxQ {
-			of.maxQ = e.F2
+		of.act = float64(f.Rows) / float64(opens)
+		if f.QError > of.maxQ {
+			of.maxQ = f.QError
 		}
 	}
-	if t != nil && executed {
+	if t != nil && len(feedback) > 0 {
 		t.executions++
 	}
 }

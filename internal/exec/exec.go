@@ -143,6 +143,31 @@ type Result struct {
 	Stats ExecStats
 	// Ops holds per-node actuals when Runtime.CollectOpStats was set.
 	Ops map[*plan.Node]*OpStats
+	// Feedback holds one estimate-vs-actual row per executed operator, in
+	// pre-order over the plan, when Runtime.CollectOpStats was set.
+	Feedback []Feedback
+}
+
+// Feedback is one executed operator's estimate-vs-actual row, the typed
+// form of an exec.feedback event. Feedback consumers (the serve daemon's
+// Q-error ledger, the flight recorder) key on the fingerprint, so the same
+// operator is recognizable across requests and processes.
+type Feedback struct {
+	// Op is the operator name; Fingerprint the plan node's fingerprint.
+	Op          string
+	Fingerprint string
+	// Rows are the actual rows summed over all Loops (opens).
+	Rows, Loops int64
+	// Est is the optimizer's estimated cardinality; QError
+	// max(est/act, act/est) with both clamped to >= 1, where act is the
+	// per-open average row count.
+	Est, QError float64
+}
+
+// Event renders the row as an exec.feedback event.
+func (f Feedback) Event() obs.Event {
+	return obs.Event{Name: obs.EvExecFeedback, A1: f.Op, A2: f.Fingerprint,
+		N1: f.Rows, N2: f.Loops, F1: f.Est, F2: f.QError}
 }
 
 // Run executes the plan and drains its output. Counters are measured from
@@ -195,11 +220,23 @@ func (rt *Runtime) Run(root *plan.Node) (result *Result, err error) {
 	res.Stats.BytesShipped = rt.Cluster.BytesShipped
 	res.Stats.RowsOut = int64(len(res.Rows))
 	res.Stats.CPUOps = ec.cpuOps
-	if sink.Enabled() {
-		if ec.ops != nil {
-			emitOpEvents(sink, root, ec.ops)
+	var nodes []*plan.Node
+	if ec.ops != nil {
+		nodes = opOrder(root, ec.ops)
+		res.Feedback = make([]Feedback, len(nodes))
+		for i, n := range nodes {
+			res.Feedback[i] = feedbackRow(n, ec.ops[n])
 		}
+	}
+	if sink.Enabled() {
 		reg := sink.Registry()
+		for i, n := range nodes {
+			st := ec.ops[n]
+			sink.Emit(obs.Event{Name: obs.EvExecOp, A1: string(n.Op), A2: n.Table,
+				N1: st.Rows, N2: st.IO.TotalPages()})
+			sink.Emit(res.Feedback[i].Event())
+			reg.Counter("qerror_observations_total").Add(1)
+		}
 		reg.Counter("exec_rows_total").Add(res.Stats.RowsOut)
 		reg.Counter("exec_cpu_ops_total").Add(res.Stats.CPUOps)
 		reg.Counter("exec_pages_total").Add(res.Stats.IO.TotalPages())
@@ -209,15 +246,12 @@ func (rt *Runtime) Run(root *plan.Node) (result *Result, err error) {
 	return res, nil
 }
 
-// emitOpEvents reports per-operator actuals in a deterministic pre-order
-// walk of the executed plan (the ops map's iteration order is not stable),
-// pairing each exec.op event with an exec.feedback event that closes the
-// estimate-vs-actual loop: the node's fingerprint, the optimizer's estimated
-// cardinality, the observed row count, and the resulting Q-error. Feedback
-// consumers (the serve daemon's Q-error ledger) key on the fingerprint, so
-// the same operator is recognizable across requests and processes.
-func emitOpEvents(sink *obs.Sink, root *plan.Node, ops map[*plan.Node]*OpStats) {
-	reg := sink.Registry()
+// opOrder lists the executed plan's nodes that carry actuals in a
+// deterministic pre-order walk (the ops map's iteration order is not
+// stable). Each becomes one exec.op event paired with one exec.feedback
+// event that closes the estimate-vs-actual loop.
+func opOrder(root *plan.Node, ops map[*plan.Node]*OpStats) []*plan.Node {
+	var out []*plan.Node
 	seen := map[*plan.Node]bool{}
 	var walk func(n *plan.Node)
 	walk = func(n *plan.Node) {
@@ -225,28 +259,31 @@ func emitOpEvents(sink *obs.Sink, root *plan.Node, ops map[*plan.Node]*OpStats) 
 			return
 		}
 		seen[n] = true
-		if st := ops[n]; st != nil {
-			sink.Emit(obs.Event{Name: obs.EvExecOp, A1: string(n.Op), A2: n.Table,
-				N1: st.Rows, N2: st.IO.TotalPages()})
-			var est float64
-			if n.Props != nil {
-				est = n.Props.Card
-			}
-			// A nested-loop inner's Rows sum over all opens; compare the
-			// per-open average against the per-open estimate.
-			act := float64(st.Rows)
-			if st.Opens > 1 {
-				act /= float64(st.Opens)
-			}
-			sink.Emit(obs.Event{Name: obs.EvExecFeedback, A1: string(n.Op), A2: n.Fingerprint(),
-				N1: st.Rows, N2: st.Opens, F1: est, F2: plan.QError(est, act)})
-			reg.Counter("qerror_observations_total").Add(1)
+		if ops[n] != nil {
+			out = append(out, n)
 		}
 		for _, in := range n.Inputs {
 			walk(in)
 		}
 	}
 	walk(root)
+	return out
+}
+
+// feedbackRow compares one node's estimate with its actuals.
+func feedbackRow(n *plan.Node, st *OpStats) Feedback {
+	var est float64
+	if n.Props != nil {
+		est = n.Props.Card
+	}
+	// A nested-loop inner's Rows sum over all opens; compare the per-open
+	// average against the per-open estimate.
+	act := float64(st.Rows)
+	if st.Opens > 1 {
+		act /= float64(st.Opens)
+	}
+	return Feedback{Op: string(n.Op), Fingerprint: n.Fingerprint(),
+		Rows: st.Rows, Loops: st.Opens, Est: est, QError: plan.QError(est, act)}
 }
 
 // Actuals adapts a Result's per-node stats to plan.ExplainAnalyze's lookup,

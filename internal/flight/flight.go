@@ -10,8 +10,11 @@
 // per-template rolling history; the watchdog compares each new record
 // against its template's history and flags
 //
-//   - plan flips: the plan fingerprint changed although the template, the
-//     catalog-stats epoch, and the rule-set hash all stayed the same,
+//   - plan flips: the plan fingerprint changed although the SQL text, the
+//     catalog-stats epoch, and the rule-set hash all stayed the same —
+//     judged against the latest record of the template's history with
+//     identical SQL, since two literals of one template legitimately plan
+//     differently,
 //   - latency outliers: wall time beyond LatencyFactor times the template's
 //     rolling baseline (and above LatencyFloor, the noise gate), and
 //   - Q-error blowups: an executed request whose worst per-operator
@@ -21,7 +24,10 @@
 // the offending request's SQL, catalog and rule text, event trace,
 // provenance DAG, self-profile, and the recent-request ring for context —
 // everything Replay needs to re-optimize the moment later, on another
-// machine, and diff the result against what the daemon saw.
+// machine, and diff the result against what the daemon saw. The serving
+// daemon keeps no event log for plain requests, so it re-derives the trace
+// and the DAG at trigger time by re-optimizing the captured inputs — the
+// same deterministic path Replay takes.
 //
 // Determinism is the contract: the clock is injectable, every method is
 // nil-safe (a nil *Recorder records nothing at nil-check cost, keeping a
@@ -41,7 +47,7 @@ var Kinds = []string{KindPlanFlip, KindQError, KindLatency}
 
 const (
 	// KindPlanFlip: fingerprint changed for an unchanged
-	// template+catalog-epoch+rule-hash.
+	// SQL text+catalog-epoch+rule-hash.
 	KindPlanFlip = "plan_flip"
 	// KindQError: an executed plan's worst operator Q-error reached the
 	// threshold.
@@ -150,7 +156,7 @@ type Record struct {
 	CatalogEpoch string `json:"catalog_epoch,omitempty"`
 	RulesHash    string `json:"rules_hash,omitempty"`
 	// Executed reports the plan ran; MaxQError is the worst per-operator
-	// Q-error the run's exec.feedback events carried.
+	// Q-error among the run's executor feedback rows.
 	Executed  bool    `json:"executed,omitempty"`
 	MaxQError float64 `json:"max_qerror,omitempty"`
 }
@@ -180,8 +186,9 @@ type Trigger struct {
 type Observation struct {
 	Record   Record
 	Triggers []Trigger
-	// Prev is the template's previous successful record (nil on first
-	// sight) — the "before" of a plan flip.
+	// Prev is the latest successful record of the template's history with
+	// the same SQL text (nil when there is none) — the "before" of a plan
+	// flip.
 	Prev *Record
 	// BaselineNS and Samples are the template's rolling latency baseline
 	// before this record was folded in.
@@ -315,14 +322,18 @@ func (r *Recorder) Observe(rec Record) Observation {
 		r.templates[rec.Template] = h
 		r.order = append(r.order, rec.Template)
 	}
-	if n := len(h.recs); n > 0 {
-		prev := h.recs[n-1]
-		out.Prev = &prev
+	for i := len(h.recs) - 1; i >= 0; i-- {
+		if h.recs[i].SQL == rec.SQL {
+			prev := h.recs[i]
+			out.Prev = &prev
+			break
+		}
 	}
 	out.BaselineNS, out.Samples = h.baseline()
 
 	// Watchdog. Judged against the history as it stood before this
-	// record, so an anomaly can't raise its own bar.
+	// record, so an anomaly can't raise its own bar. Only a same-SQL
+	// predecessor can witness a flip: same inputs, different plan.
 	if p := out.Prev; p != nil && p.PlanFP != rec.PlanFP &&
 		p.CatalogEpoch == rec.CatalogEpoch && p.RulesHash == rec.RulesHash {
 		out.Triggers = append(out.Triggers, Trigger{

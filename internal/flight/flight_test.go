@@ -84,6 +84,34 @@ func TestWatchdogPlanFlip(t *testing.T) {
 	}
 }
 
+// TestWatchdogFlipNeedsSameSQL: two literals of one template planning to
+// different fingerprints is not a flip — the inputs differ. A flip is
+// judged against the latest record with the identical SQL text, which is
+// the incident's Prev, however many other literals came in between.
+func TestWatchdogFlipNeedsSameSQL(t *testing.T) {
+	r := newRecorder(t, flight.Config{})
+	lit := func(sql, fp string) flight.Record {
+		n := rec("Q ?", fp, time.Millisecond)
+		n.SQL = sql
+		return n
+	}
+	r.Observe(lit("Q 1", "fp1"))
+	if o := r.Observe(lit("Q 2", "fp2")); len(o.Triggers) != 0 || o.Prev != nil {
+		t.Fatalf("a new literal flagged: prev %+v, triggers %+v", o.Prev, o.Triggers)
+	}
+	if o := r.Observe(lit("Q 1", "fp1")); len(o.Triggers) != 0 || o.Prev == nil || o.Prev.SQL != "Q 1" {
+		t.Fatalf("a repeated literal with its own plan flagged: prev %+v, triggers %+v", o.Prev, o.Triggers)
+	}
+	r.Observe(lit("Q 3", "fp3"))
+	o := r.Observe(lit("Q 2", "fp4"))
+	if o.Kind() != flight.KindPlanFlip {
+		t.Fatalf("same SQL, new plan: kind %q (triggers %+v)", o.Kind(), o.Triggers)
+	}
+	if o.Prev == nil || o.Prev.SQL != "Q 2" || o.Prev.PlanFP != "fp2" || o.Triggers[0].PrevFP != "fp2" {
+		t.Fatalf("prev = %+v, trigger %+v; want the earlier Q 2 record", o.Prev, o.Triggers[0])
+	}
+}
+
 func TestWatchdogLatency(t *testing.T) {
 	r := newRecorder(t, flight.Config{
 		MinSamples: 3, LatencyFactor: 2, LatencyFloor: time.Microsecond,

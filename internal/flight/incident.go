@@ -50,7 +50,9 @@ type Capture struct {
 	CatalogEpoch string          `json:"catalog_epoch,omitempty"`
 	// Options are the optimizer knobs the request ran with.
 	Options CapturedOptions `json:"options"`
-	// Events is the request's full event trace in /events wire framing.
+	// Events is the request's event trace in /events wire framing: the
+	// optimizer's events re-derived at capture time, followed by the
+	// executor's feedback rows for executed requests.
 	Events []obs.WireEvent `json:"events,omitempty"`
 	// Provenance is the derivation DAG (stars/provenance/v1);
 	// ProvenanceChecksum its FNV-64a digest (provenance.DAG.Checksum),
@@ -76,8 +78,8 @@ type Incident struct {
 	Record Record `json:"record"`
 	// Triggers lists every watchdog rule that fired, priority order.
 	Triggers []Trigger `json:"triggers"`
-	// Prev is the template's previous record — the "before" of a plan
-	// flip.
+	// Prev is the latest earlier record of the template with the same SQL
+	// text — the "before" of a plan flip.
 	Prev *Record `json:"prev,omitempty"`
 	// BaselineNS and Samples are the rolling latency baseline the record
 	// was judged against.

@@ -50,42 +50,9 @@ func Replay(inc *Incident) (*ReplayResult, error) {
 		return nil, fmt.Errorf("flight: replay: nil incident")
 	}
 	cap := inc.Capture
-	if len(cap.Catalog) == 0 {
-		return nil, fmt.Errorf("flight: replay %s: bundle carries no catalog", inc.ID)
-	}
-	if cap.Rules == "" {
-		return nil, fmt.Errorf("flight: replay %s: bundle carries no rules", inc.ID)
-	}
-	cat, err := catalog.Parse(cap.Catalog)
+	res, err := cap.optimize(obs.NewSink())
 	if err != nil {
 		return nil, fmt.Errorf("flight: replay %s: %w", inc.ID, err)
-	}
-	rules, err := star.ParseRules(cap.Rules)
-	if err != nil {
-		return nil, fmt.Errorf("flight: replay %s: rules: %w", inc.ID, err)
-	}
-	g, err := sqlparse.Parse(cap.SQL, cat)
-	if err != nil {
-		return nil, fmt.Errorf("flight: replay %s: sql: %w", inc.ID, err)
-	}
-	co := cap.Options
-	opts := opt.Options{
-		CartesianProducts: co.CartesianProducts,
-		NoCompositeInners: co.NoCompositeInners,
-		KeepAllGlue:       co.KeepAllGlue,
-		DisablePruning:    co.DisablePruning,
-		Weights:           cost.Weights{IO: co.WeightIO, CPU: co.WeightCPU, Msg: co.WeightMsg, Byte: co.WeightByte},
-		Rules:             rules,
-		JoinRoot:          co.JoinRoot,
-		Parallelism:       co.Parallelism,
-		Obs:               obs.NewSink(),
-	}
-	if co.Parallelism == 0 {
-		opts.Parallelism = 1 // captured zero means "daemon default"; replay deterministically
-	}
-	res, err := opt.New(cat, opts).Optimize(g)
-	if err != nil {
-		return nil, fmt.Errorf("flight: replay %s: optimize: %w", inc.ID, err)
 	}
 	dag, err := provenance.FromResult(res)
 	if err != nil {
@@ -120,4 +87,82 @@ func Replay(inc *Incident) (*ReplayResult, error) {
 		}
 	}
 	return out, nil
+}
+
+// optimize re-runs the capture's optimization from its captured catalog,
+// rules, SQL, and options, reporting into sink. Replay and Derive share it,
+// so a derived capture is exactly what a replay reproduces.
+func (c *Capture) optimize(sink *obs.Sink) (*opt.Result, error) {
+	if len(c.Catalog) == 0 {
+		return nil, fmt.Errorf("bundle carries no catalog")
+	}
+	if c.Rules == "" {
+		return nil, fmt.Errorf("bundle carries no rules")
+	}
+	cat, err := catalog.Parse(c.Catalog)
+	if err != nil {
+		return nil, err
+	}
+	rules, err := star.ParseRules(c.Rules)
+	if err != nil {
+		return nil, fmt.Errorf("rules: %w", err)
+	}
+	g, err := sqlparse.Parse(c.SQL, cat)
+	if err != nil {
+		return nil, fmt.Errorf("sql: %w", err)
+	}
+	co := c.Options
+	opts := opt.Options{
+		CartesianProducts: co.CartesianProducts,
+		NoCompositeInners: co.NoCompositeInners,
+		KeepAllGlue:       co.KeepAllGlue,
+		DisablePruning:    co.DisablePruning,
+		Weights:           cost.Weights{IO: co.WeightIO, CPU: co.WeightCPU, Msg: co.WeightMsg, Byte: co.WeightByte},
+		Rules:             rules,
+		JoinRoot:          co.JoinRoot,
+		Parallelism:       co.Parallelism,
+		Obs:               sink,
+	}
+	if co.Parallelism == 0 {
+		opts.Parallelism = 1 // captured zero means "daemon default"; replay deterministically
+	}
+	res, err := opt.New(cat, opts).Optimize(g)
+	if err != nil {
+		return nil, fmt.Errorf("optimize: %w", err)
+	}
+	return res, nil
+}
+
+// Derive fills the capture's event trace and provenance DAG by
+// re-optimizing its captured inputs with an event-keeping sink tagged req —
+// the deterministic path Replay takes, so the bundle replays identical. A
+// server that records no event log for plain requests calls it only when
+// the watchdog fires. tail (an executed request's feedback rows rendered as
+// events) is appended after the optimizer's trace.
+func (c *Capture) Derive(req string, tail []obs.Event) error {
+	sink := obs.NewRequestSink(req)
+	res, err := c.optimize(sink)
+	if err != nil {
+		return fmt.Errorf("flight: derive capture: %w", err)
+	}
+	defer res.Release()
+	dag, err := provenance.FromResult(res)
+	if err != nil {
+		return fmt.Errorf("flight: derive capture: provenance: %w", err)
+	}
+	var buf bytes.Buffer
+	if err := dag.WriteJSON(&buf); err != nil {
+		return fmt.Errorf("flight: derive capture: provenance: %w", err)
+	}
+	for _, e := range tail {
+		sink.Emit(e) //obsguard:ignore capture path only; the derive sink is never nil
+	}
+	events := sink.Events()
+	c.Events = make([]obs.WireEvent, len(events))
+	for i, e := range events {
+		c.Events[i] = obs.Wire(e)
+	}
+	c.Provenance = buf.Bytes()
+	c.ProvenanceChecksum = dag.Checksum()
+	return nil
 }

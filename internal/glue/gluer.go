@@ -47,6 +47,33 @@ type Gluer struct {
 	KeepAll bool
 	// Stats accumulates counters.
 	Stats Stats
+	// Injected tallies veneer injections per operator, in first-injection
+	// order — the typed coverage counter the optimizer reads. Counted
+	// only while the engine's sink is enabled.
+	Injected []OpCount
+}
+
+// OpCount is one Glue operator's injection tally.
+type OpCount struct {
+	Op plan.Op
+	N  int64
+}
+
+// AddInjected folds injection tallies (a forked Gluer's) into g's.
+func (g *Gluer) AddInjected(counts []OpCount) {
+	for _, c := range counts {
+		g.inject(c.Op, c.N)
+	}
+}
+
+func (g *Gluer) inject(op plan.Op, n int64) {
+	for i := range g.Injected {
+		if g.Injected[i].Op == op {
+			g.Injected[i].N += n
+			return
+		}
+	}
+	g.Injected = append(g.Injected, OpCount{Op: op, N: n})
 }
 
 // AccessRootRule names the STAR Glue references when no plans exist for a
@@ -58,7 +85,11 @@ func (g *Gluer) Glue(req *star.GlueRequest) (result []*plan.Node, err error) {
 	g.Stats.Calls++
 	var sp obs.Span
 	if g.Engine.Obs.Enabled() {
-		sp = g.Engine.Obs.StartSpan(obs.EvGlue, req.Tables.Key(), req.Req.String(), 0)
+		var reqd string
+		if g.Engine.Obs.Streams() {
+			reqd = req.Req.String()
+		}
+		sp = g.Engine.Obs.StartSpan(obs.EvGlue, req.Tables.Key(), reqd, 0)
 		defer func() { sp.End(int64(len(result))) }()
 	}
 	base := g.Graph.EligibleWithin(req.Tables)
@@ -268,6 +299,7 @@ func (g *Gluer) addVeneer(n *plan.Node) (*plan.Node, error) {
 	n.Origin = "Glue"
 	g.Stats.Veneers++
 	if g.Engine.Obs.Enabled() {
+		g.inject(n.Op, 1)
 		e := obs.Event{Name: obs.EvVeneer, A1: string(n.Op), A2: n.Fingerprint(), N1: 1,
 			F1: n.Props.Cost.Total}
 		if in := n.Outer(); in != nil {

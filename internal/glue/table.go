@@ -53,8 +53,13 @@ type PlanTable struct {
 	Pruned        int64
 	PruneDisabled bool
 	// Obs, when enabled, receives plantable.insert / plantable.prune
-	// events.
+	// events, and turns on the Prunes tally.
 	Obs *obs.Sink
+	// Prunes tallies dominance decisions by the victim's and the
+	// dominator's Origin — the typed counter behind coverage's pruned and
+	// pruned-by attribution. Counted only while Obs is enabled; nil until
+	// the first prune.
+	Prunes map[PruneKey]int64
 
 	// base, when non-nil, makes this table an overlay: reads fall through
 	// to base (which must stay frozen while the overlay is live), writes
@@ -70,6 +75,12 @@ type PlanTable struct {
 	// order is the append-only log of locally-created entries in
 	// first-write order — the deterministic replay schedule Absorb follows.
 	order []*entry
+}
+
+// PruneKey attributes one dominance decision: the Origin of the plan
+// pruned and of the plan that dominated it.
+type PruneKey struct {
+	Victim, Dominator string
 }
 
 // NewPlanTable returns an empty plan table.
@@ -275,6 +286,9 @@ func (pt *PlanTable) Absorb(o *PlanTable) {
 	}
 	pt.Inserted += o.Inserted
 	pt.Pruned += o.Pruned
+	for k, n := range o.Prunes {
+		pt.countPrune(k, n)
+	}
 	if profiled {
 		// The absorb meter overlaps plantable_offer: replaying an overlay
 		// goes through Insert, which times its own offers too.
@@ -320,9 +334,17 @@ func (pt *PlanTable) emitPrune(tk string, victim, dominator *plan.Node, directio
 	if !pt.Obs.Enabled() {
 		return
 	}
+	pt.countPrune(PruneKey{Victim: victim.Origin, Dominator: dominator.Origin}, 1)
 	pt.Obs.Emit(obs.Event{Name: obs.EvPlanPrune, A1: tk, N1: direction,
 		A2: victim.Fingerprint(), A3: dominator.Fingerprint(),
 		F1: victim.Props.Cost.Total, F2: dominator.Props.Cost.Total})
+}
+
+func (pt *PlanTable) countPrune(k PruneKey, n int64) {
+	if pt.Prunes == nil {
+		pt.Prunes = map[PruneKey]int64{}
+	}
+	pt.Prunes[k] += n
 }
 
 // offerDetail renders the origin and operator of an offered plan for the

@@ -7,11 +7,12 @@ import (
 	"strings"
 )
 
-// AltCoverage is the payload of one EvAltCoverage event: the per-run fate of
-// one STAR alternative. The optimizer emits one per alternative of the
-// active repertoire at the end of every observed run; coverage consumers
-// (starburst cover, the serve ledger, starbench -coverage) parse them back
-// out of the event stream instead of re-deriving the attribution.
+// AltCoverage is the per-run fate of one STAR alternative. The optimizer
+// returns one per alternative of the active repertoire on every observed
+// run (opt.Result.Coverage), counted in typed counters during the run;
+// coverage consumers (starburst cover, the serve ledger, starbench
+// -coverage) read those values directly. Event renders the tally as an
+// EvAltCoverage event for sinks that stream events.
 type AltCoverage struct {
 	// Rule is the STAR's name; Alt the 1-based alternative ordinal.
 	Rule string
@@ -30,7 +31,7 @@ type AltCoverage struct {
 	PrunedBy map[string]int64
 }
 
-// Event packs the tallies into the flat Event shape.
+// Event renders the tallies into the flat Event shape.
 func (c AltCoverage) Event() Event {
 	return Event{
 		Name: EvAltCoverage,
@@ -42,23 +43,9 @@ func (c AltCoverage) Event() Event {
 	}
 }
 
-// ParseAltCoverage unpacks an EvAltCoverage event; ok is false for events of
-// any other name or with a malformed payload.
-func ParseAltCoverage(e Event) (c AltCoverage, ok bool) {
-	if e.Name != EvAltCoverage {
-		return c, false
-	}
-	c.Rule, c.Alt = e.A1, int(e.N1)
-	if _, err := fmt.Sscanf(e.A2, "fired=%d rejected=%d built=%d retained=%d pruned=%d winner=%d",
-		&c.Fired, &c.Rejected, &c.Built, &c.Retained, &c.Pruned, &c.Winner); err != nil {
-		return c, false
-	}
-	c.PrunedBy = parseOrigins(e.A3)
-	return c, true
-}
-
-// VeneerCoverage is the payload of one EvVeneerCoverage event: the per-run
-// fate of one Glue veneer operator (SHIP, SORT, STORE, BUILDINDEX, ...).
+// VeneerCoverage is the per-run fate of one Glue veneer operator (SHIP,
+// SORT, STORE, BUILDINDEX, ...); Event renders it as an EvVeneerCoverage
+// event.
 type VeneerCoverage struct {
 	// Op is the LOLEPOP name.
 	Op string
@@ -67,26 +54,13 @@ type VeneerCoverage struct {
 	Injected, Retained, Winner int64
 }
 
-// Event packs the tallies into the flat Event shape.
+// Event renders the tallies into the flat Event shape.
 func (c VeneerCoverage) Event() Event {
 	return Event{
 		Name: EvVeneerCoverage,
 		A1:   c.Op,
 		A2:   fmt.Sprintf("injected=%d retained=%d winner=%d", c.Injected, c.Retained, c.Winner),
 	}
-}
-
-// ParseVeneerCoverage unpacks an EvVeneerCoverage event.
-func ParseVeneerCoverage(e Event) (c VeneerCoverage, ok bool) {
-	if e.Name != EvVeneerCoverage {
-		return c, false
-	}
-	c.Op = e.A1
-	if _, err := fmt.Sscanf(e.A2, "injected=%d retained=%d winner=%d",
-		&c.Injected, &c.Retained, &c.Winner); err != nil {
-		return c, false
-	}
-	return c, true
 }
 
 // packOrigins renders an origin->count attribution map deterministically
@@ -111,24 +85,4 @@ func packOrigins(m map[string]int64) string {
 		b.WriteString(strconv.FormatInt(m[k], 10))
 	}
 	return b.String()
-}
-
-// parseOrigins undoes packOrigins ("" -> nil).
-func parseOrigins(s string) map[string]int64 {
-	if s == "" {
-		return nil
-	}
-	out := map[string]int64{}
-	for _, part := range strings.Fields(s) {
-		i := strings.LastIndexByte(part, ':')
-		if i <= 0 {
-			continue
-		}
-		n, err := strconv.ParseInt(part[i+1:], 10, 64)
-		if err != nil {
-			continue
-		}
-		out[part[:i]] += n
-	}
-	return out
 }

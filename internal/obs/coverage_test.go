@@ -1,10 +1,26 @@
 package obs
 
 import (
-	"reflect"
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
+
+// wireRoundTrip sends e through the NDJSON wire form consumers of the event
+// stream read (/events, incident bundles) and decodes it back.
+func wireRoundTrip(t *testing.T, e Event) WireEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeNDJSON(&buf, e); err != nil {
+		t.Fatal(err)
+	}
+	var w WireEvent
+	if err := json.Unmarshal(buf.Bytes(), &w); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
 
 func TestAltCoverageRoundTrip(t *testing.T) {
 	in := AltCoverage{
@@ -12,27 +28,25 @@ func TestAltCoverageRoundTrip(t *testing.T) {
 		Fired: 12, Rejected: 4, Built: 36, Retained: 9, Pruned: 5, Winner: 2,
 		PrunedBy: map[string]int64{"JMeth#1": 3, "Glue": 2},
 	}
-	e := in.Event()
-	if e.Name != EvAltCoverage || e.A1 != "JMeth" || e.N1 != 3 {
-		t.Fatalf("event header: %+v", e)
+	w := wireRoundTrip(t, in.Event())
+	if w.Name != EvAltCoverage || w.A1 != "JMeth" || w.N1 != 3 {
+		t.Fatalf("event header: %+v", w)
 	}
-	out, ok := ParseAltCoverage(e)
-	if !ok {
-		t.Fatalf("ParseAltCoverage failed on %+v", e)
+	if want := "fired=12 rejected=4 built=36 retained=9 pruned=5 winner=2"; w.A2 != want {
+		t.Errorf("tallies = %q, want %q", w.A2, want)
 	}
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("round trip:\nin:  %+v\nout: %+v", in, out)
+	if want := "Glue:2 JMeth#1:3"; w.A3 != want {
+		t.Errorf("dominators = %q, want %q", w.A3, want)
 	}
 }
 
 func TestAltCoverageZeroRoundTrip(t *testing.T) {
-	in := AltCoverage{Rule: "TableAccess", Alt: 2}
-	out, ok := ParseAltCoverage(in.Event())
-	if !ok || !reflect.DeepEqual(in, out) {
-		t.Errorf("zero round trip: ok=%v out=%+v", ok, out)
+	w := wireRoundTrip(t, AltCoverage{Rule: "TableAccess", Alt: 2}.Event())
+	if want := "fired=0 rejected=0 built=0 retained=0 pruned=0 winner=0"; w.A2 != want {
+		t.Errorf("zero tallies = %q, want %q", w.A2, want)
 	}
-	if out.PrunedBy != nil {
-		t.Errorf("empty dominator map must stay nil, got %v", out.PrunedBy)
+	if w.A3 != "" {
+		t.Errorf("empty dominator map must render empty, got %q", w.A3)
 	}
 }
 
@@ -51,23 +65,12 @@ func TestAltCoveragePackingIsDeterministic(t *testing.T) {
 }
 
 func TestVeneerCoverageRoundTrip(t *testing.T) {
-	in := VeneerCoverage{Op: "SHIP", Injected: 7, Retained: 3, Winner: 1}
-	e := in.Event()
-	if e.Name != EvVeneerCoverage {
-		t.Fatalf("event name %q", e.Name)
+	w := wireRoundTrip(t, VeneerCoverage{Op: "SHIP", Injected: 7, Retained: 3, Winner: 1}.Event())
+	if w.Name != EvVeneerCoverage || w.A1 != "SHIP" {
+		t.Fatalf("event header: %+v", w)
 	}
-	out, ok := ParseVeneerCoverage(e)
-	if !ok || in != out {
-		t.Errorf("round trip: ok=%v out=%+v", ok, out)
-	}
-}
-
-func TestParseRejectsForeignEvents(t *testing.T) {
-	if _, ok := ParseAltCoverage(Event{Name: EvAltFired, A1: "R", N1: 1}); ok {
-		t.Error("ParseAltCoverage accepted a non-coverage event")
-	}
-	if _, ok := ParseVeneerCoverage(Event{Name: EvVeneer, A1: "SHIP"}); ok {
-		t.Error("ParseVeneerCoverage accepted a non-coverage event")
+	if want := "injected=7 retained=3 winner=1"; w.A2 != want {
+		t.Errorf("tallies = %q, want %q", w.A2, want)
 	}
 }
 

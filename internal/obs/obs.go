@@ -109,12 +109,13 @@ const (
 	// attribution for pruned plans ("origin:count ..."). One event is
 	// emitted per alternative of the active repertoire — including
 	// never-exercised ones, so consumers see the whole alternative space.
-	// Pack and parse with AltCoverage.Event / ParseAltCoverage.
+	// Rendered by AltCoverage.Event from the typed tallies the optimizer
+	// returns; in-process consumers read those tallies, not this event.
 	EvAltCoverage = "opt.alt.coverage"
 	// EvVeneerCoverage summarizes one Glue veneer operator's fate at the
 	// end of an optimization: A1 is the LOLEPOP name, A2 the packed
-	// tallies ("injected=... retained=... winner=..."). Pack and parse
-	// with VeneerCoverage.Event / ParseVeneerCoverage.
+	// tallies ("injected=... retained=... winner=..."). Rendered by
+	// VeneerCoverage.Event.
 	EvVeneerCoverage = "opt.veneer.coverage"
 	// EvExecFeedback closes the estimate-vs-actual loop after an execution
 	// with per-operator attribution: A1 is the operator name, A2 the plan
@@ -195,41 +196,60 @@ func NewRequestSink(req string) *Sink {
 	return s
 }
 
-// Child returns a fresh sink of the same shape as s (event-keeping or
-// metrics-only) for one unit of isolated work — e.g. one subset task of the
-// parallel join enumeration. Workers record into their child sink without
-// contending on the parent, and the parent later folds the child back in
-// with Absorb, in a deterministic order. Nil for the nil sink.
+// NewRequestMetricsSink is NewRequestSink without the event log: metrics,
+// the profiler, and the event count, but no recorded events. A server
+// answers plain requests with it, so a request pays only for its answer.
+func NewRequestMetricsSink(req string) *Sink {
+	s := NewRequestSink(req)
+	s.drop = true
+	return s
+}
+
+// Child returns a fresh sink of the same shape as s for one unit of
+// isolated work — e.g. one subset task of the parallel join enumeration.
+// The child keeps an event log when s does or when s fans events out to
+// tees, so absorbed events still reach them. Workers record into their
+// child sink without contending on the parent, and the parent later folds
+// the child back in with Absorb, in a deterministic order. Nil for the nil
+// sink.
 func (s *Sink) Child() *Sink {
 	if s == nil {
 		return nil
 	}
-	c := &Sink{start: time.Now(), reg: NewRegistry(), drop: s.drop}
+	c := &Sink{start: time.Now(), reg: NewRegistry(), drop: !s.Streams()}
 	if s.prof != nil {
 		c.prof = newProf(ProfOptions{Labels: s.prof.labels})
 	}
 	return c
 }
 
-// Absorb replays every event a child sink recorded into s, in the child's
-// order, and merges the child's metrics registry. Sequence numbers are
-// re-stamped from s's counter, span ids are remapped through s's span
-// counter (so absorbed spans never collide with s's own), timestamps are
-// re-based onto s's epoch preserving real durations, and s's request tag is
-// stamped onto untagged events — exactly what Emit would have done had the
-// work reported into s directly. Tees see the absorbed events in order.
-// No-op when either side is nil.
+// Absorb folds a finished child sink into s: the child's event log is taken
+// over in the child's order, its metrics registry and profiler merged. The
+// parent's event count advances by every event the child saw, kept or not,
+// so a metrics-only sink counts exactly what an event-keeping one does.
+// Sequence numbers are re-stamped from s's counter, span ids are remapped
+// through s's span counter (so absorbed spans never collide with s's own),
+// timestamps are re-based onto s's epoch preserving real durations, and s's
+// request tag is stamped onto untagged events — exactly what Emit would
+// have done had the work reported into s directly. Tees see the absorbed
+// events in order. The child must not be used afterwards. No-op when either
+// side is nil.
 func (s *Sink) Absorb(child *Sink) {
 	if s == nil || child == nil {
 		return
 	}
-	events := child.Events()
+	child.mu.Lock()
+	events, seen := child.events, child.seq
+	child.events = nil
+	child.mu.Unlock()
 	offset := child.start.Sub(s.start)
 	s.mu.Lock()
+	base := s.seq
+	s.seq += seen
 	var spanMap map[int64]int64
-	for _, e := range events {
-		s.seq++
-		e.Seq = s.seq
+	for i := range events {
+		e := &events[i]
+		e.Seq = base + int64(i) + 1
 		e.T += offset
 		if e.Req == "" {
 			e.Req = s.tag
@@ -245,11 +265,15 @@ func (s *Sink) Absorb(child *Sink) {
 			}
 			e.Span = ns
 		}
-		if !s.drop {
-			s.events = append(s.events, e)
-		}
 		for _, fn := range s.tees {
-			fn(e)
+			fn(*e)
+		}
+	}
+	if !s.drop {
+		if s.events == nil {
+			s.events = events
+		} else {
+			s.events = append(s.events, events...)
 		}
 	}
 	s.mu.Unlock()
@@ -305,9 +329,28 @@ func (s *Sink) Enabled() bool { return s != nil }
 
 // KeepsEvents reports whether the sink retains its event log (false for the
 // nil sink and for metrics-only sinks). Work whose output is derived from
-// the recorded log — coverage summaries, provenance — is skipped when the
+// the recorded log — provenance, the rule-firing trace — is skipped when the
 // log is dropped.
 func (s *Sink) KeepsEvents() bool { return s != nil && !s.drop }
+
+// Streams reports whether an emitted event goes anywhere: into the event
+// log or out to a tee. Code that renders an event only for its readers
+// checks it and, when it is false, counts the event with Skip instead.
+// Tees are registered before the sink is shared, so the check needs no
+// lock.
+func (s *Sink) Streams() bool { return s != nil && (!s.drop || len(s.tees) > 0) }
+
+// Skip counts n events that were not rendered because the sink does not
+// stream them (see Streams), keeping Len equal to what an event-keeping
+// sink would report.
+func (s *Sink) Skip(n int64) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.seq += n
+	s.mu.Unlock()
+}
 
 // Registry returns the sink's metrics registry (nil for the nil sink —
 // every Registry method is nil-safe too).

@@ -3,40 +3,45 @@ package opt
 import (
 	"sort"
 	"strconv"
-	"strings"
 
+	"stars/internal/glue"
 	"stars/internal/obs"
 	"stars/internal/plan"
 	"stars/internal/star"
 )
 
-// emitCoverage closes one observed optimization with a coverage summary:
-// one opt.alt.coverage event per alternative of the active repertoire (the
-// whole alternative space, so never-exercised arms are visible in the
-// stream) and one opt.veneer.coverage event per Glue operator seen, plus
-// coverage_* counters in the sink's registry. Firing and rejection tallies
-// come from the recorded event log; retained/pruned/winner attribution from
-// the final plan table and the chosen plan, per Origin ("Rule#alt"). The
-// tallies are a pure function of run state every parallelism level agrees
-// on, so the emitted events are byte-identical across Parallelism levels.
-//
-// Metrics-only sinks drop the event log the attribution reads, so coverage
-// is skipped for them (KeepsEvents) — use an event-keeping sink to collect
-// coverage.
-func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
-	if !sink.KeepsEvents() {
-		return
-	}
+// Coverage is one optimization's coverage summary over the alternative
+// space: the fate of every alternative of the active repertoire and of
+// every Glue veneer operator seen. The tallies are a pure function of run
+// state every parallelism level agrees on, so they are identical across
+// Parallelism levels.
+type Coverage struct {
+	// Alts holds one tally per alternative of the repertoire — rules in
+	// RuleSet.Names order, alternatives in definition order — including
+	// never-exercised ones.
+	Alts []obs.AltCoverage
+	// Veneers holds one tally per Glue operator, sorted by name.
+	Veneers []obs.VeneerCoverage
+}
 
-	altKey := func(rule string, alt int) string { return rule + "#" + strconv.Itoa(alt) }
-	alts := map[string]*obs.AltCoverage{}
-	var altOrder []string
+// collectCoverage assembles the run's coverage from the typed counters the
+// engine (firings, rejections, built plans), the gluer (veneer injections),
+// and the plan table (prune decisions by victim and dominator origin)
+// filled during the run, plus a structure pass: every distinct plan node
+// surviving in the final table (or on the chosen plan) counts once toward
+// its origin's Retained, and the chosen plan's derivation chain counts
+// toward Winner.
+func collectCoverage(rules *star.RuleSet, en *star.Engine, gl *glue.Gluer, res *Result) *Coverage {
+	tallies := en.AltTallies()
+	// Exact capacity: byOrigin points into cov.Alts, which must not move.
+	cov := &Coverage{Alts: make([]obs.AltCoverage, 0, len(tallies))}
+	byOrigin := make(map[string]*obs.AltCoverage, len(tallies))
 	for _, name := range rules.Names() {
-		r := rules.Get(name)
-		for i := range r.Alts {
-			k := altKey(name, i+1)
-			alts[k] = &obs.AltCoverage{Rule: name, Alt: i + 1}
-			altOrder = append(altOrder, k)
+		for i, alt := range rules.Get(name).Alts {
+			t := tallies[len(cov.Alts)]
+			cov.Alts = append(cov.Alts, obs.AltCoverage{Rule: name, Alt: i + 1,
+				Fired: t.Fired, Rejected: t.Rejected, Built: t.Built})
+			byOrigin[alt.Origin()] = &cov.Alts[len(cov.Alts)-1]
 		}
 	}
 	veneers := map[string]*obs.VeneerCoverage{}
@@ -48,53 +53,21 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 		}
 		return v
 	}
-
-	// Event pass: firings and rejections per alternative, veneer
-	// injections, the fingerprint->origin map offers recorded, and the
-	// prune decisions to attribute afterwards.
-	originOf := map[string]string{}
-	var prunes []obs.Event
-	for _, e := range sink.Events() {
-		switch e.Name {
-		case obs.EvAltFired:
-			if c := alts[altKey(e.A1, int(e.N1))]; c != nil {
-				c.Fired++
-				c.Built += e.N2
-			}
-		case obs.EvAltRejected:
-			if e.Kind != obs.KindInstant {
-				continue
-			}
-			if c := alts[altKey(e.A1, int(e.N1))]; c != nil {
-				c.Rejected++
-			}
-		case obs.EvVeneer:
-			veneer(e.A1).Injected++
-			originOf[e.A2] = "Glue"
-		case obs.EvPlanOffer:
-			if i := strings.IndexByte(e.A3, ' '); i > 0 {
-				originOf[e.A2] = e.A3[:i]
-			}
-		case obs.EvPlanPrune:
-			prunes = append(prunes, e)
-		}
+	for _, c := range gl.Injected {
+		veneer(string(c.Op)).Injected += c.N
 	}
 
-	// Structure pass: every distinct plan node surviving in the final
-	// table (or on the chosen plan) counts once toward its origin's
-	// Retained; the chosen plan's derivation chain counts toward Winner.
-	count := func(root *plan.Node, seen map[string]bool, alt func(*obs.AltCoverage), ven func(*obs.VeneerCoverage)) {
+	count := func(root *plan.Node, seen map[uint64]bool, alt func(*obs.AltCoverage), ven func(*obs.VeneerCoverage)) {
 		var walk func(n *plan.Node)
 		walk = func(n *plan.Node) {
-			fp := n.Fingerprint()
+			fp := n.FP64()
 			if seen[fp] {
 				return
 			}
 			seen[fp] = true
-			originOf[fp] = n.Origin
 			if n.Origin == "Glue" {
 				ven(veneer(string(n.Op)))
-			} else if c := alts[n.Origin]; c != nil {
+			} else if c := byOrigin[n.Origin]; c != nil {
 				alt(c)
 			}
 			for _, in := range n.Inputs {
@@ -103,7 +76,7 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 		}
 		walk(root)
 	}
-	retained := map[string]bool{}
+	retained := map[uint64]bool{}
 	markRetained := func(c *obs.AltCoverage) { c.Retained++ }
 	markRetainedV := func(v *obs.VeneerCoverage) { v.Retained++ }
 	if res.Table != nil {
@@ -111,7 +84,7 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 	}
 	if res.Best != nil {
 		count(res.Best, retained, markRetained, markRetainedV)
-		count(res.Best, map[string]bool{},
+		count(res.Best, map[uint64]bool{},
 			func(c *obs.AltCoverage) { c.Winner++ },
 			func(v *obs.VeneerCoverage) { v.Winner++ })
 	}
@@ -119,43 +92,61 @@ func emitCoverage(sink *obs.Sink, rules *star.RuleSet, res *Result) {
 	// Prune attribution: the victim's origin takes the hit, the
 	// dominator's origin is named (Q: which alternative keeps beating
 	// this one). Veneer victims have no alternative to charge.
-	for _, e := range prunes {
-		c := alts[originOf[e.A2]]
-		if c == nil {
-			continue
+	if res.Table != nil {
+		for k, n := range res.Table.Prunes {
+			c := byOrigin[k.Victim]
+			if c == nil {
+				continue
+			}
+			c.Pruned += n
+			dom := k.Dominator
+			if dom == "" {
+				dom = "?"
+			}
+			if c.PrunedBy == nil {
+				c.PrunedBy = map[string]int64{}
+			}
+			c.PrunedBy[dom] += n
 		}
-		c.Pruned++
-		dom := originOf[e.A3]
-		if dom == "" {
-			dom = "?"
-		}
-		if c.PrunedBy == nil {
-			c.PrunedBy = map[string]int64{}
-		}
-		c.PrunedBy[dom]++
 	}
 
-	// Emit in repertoire definition order (then sorted veneer ops) and
-	// publish the per-alternative counters — zero-valued ones included, so
-	// aggregating registries expose the full series surface immediately.
-	reg := sink.Registry()
-	reg.Counter("coverage_runs_total").Add(1)
-	for _, k := range altOrder {
-		c := alts[k]
-		sink.Emit(c.Event())
-		labels := `{rule="` + c.Rule + `",alt="` + strconv.Itoa(c.Alt) + `"}`
-		reg.Counter("coverage_alt_fired_total" + labels).Add(c.Fired)
-		reg.Counter("coverage_alt_retained_total" + labels).Add(c.Retained)
-		reg.Counter("coverage_alt_winner_total" + labels).Add(c.Winner)
-	}
 	ops := make([]string, 0, len(veneers))
 	for op := range veneers {
 		ops = append(ops, op)
 	}
 	sort.Strings(ops)
 	for _, op := range ops {
-		v := veneers[op]
-		sink.Emit(v.Event())
-		reg.Counter(`coverage_veneer_injected_total{op="` + op + `"}`).Add(v.Injected)
+		cov.Veneers = append(cov.Veneers, *veneers[op])
+	}
+	return cov
+}
+
+// publishCoverage reports a run's coverage into its sink: one
+// opt.alt.coverage event per alternative and one opt.veneer.coverage event
+// per veneer operator, rendered from the tallies only when the sink streams
+// events (counted with Skip otherwise, so Len agrees either way), plus the
+// coverage_* counters — zero-valued ones included, so aggregating
+// registries expose the full series surface immediately.
+func publishCoverage(sink *obs.Sink, cov *Coverage) {
+	streams := sink.Streams()
+	reg := sink.Registry()
+	reg.Counter("coverage_runs_total").Add(1)
+	for _, c := range cov.Alts {
+		if streams {
+			sink.Emit(c.Event())
+		}
+		labels := `{rule="` + c.Rule + `",alt="` + strconv.Itoa(c.Alt) + `"}`
+		reg.Counter("coverage_alt_fired_total" + labels).Add(c.Fired)
+		reg.Counter("coverage_alt_retained_total" + labels).Add(c.Retained)
+		reg.Counter("coverage_alt_winner_total" + labels).Add(c.Winner)
+	}
+	for _, v := range cov.Veneers {
+		if streams {
+			sink.Emit(v.Event())
+		}
+		reg.Counter(`coverage_veneer_injected_total{op="` + v.Op + `"}`).Add(v.Injected)
+	}
+	if !streams {
+		sink.Skip(int64(len(cov.Alts) + len(cov.Veneers)))
 	}
 }

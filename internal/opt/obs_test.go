@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -132,4 +133,37 @@ func TestTraceMatchesEngineCounters(t *testing.T) {
 		t.Errorf("trace shows %d rejections, stats say %d", rejected, res.Stats.Star.AltsRejected)
 	}
 	_ = star.FormatTrace(res.Trace)
+}
+
+// TestMetricsSinkCountsLikeEventSink pins the event count of a metrics-only
+// sink to an event-keeping one's: forked workers' events and the coverage
+// summary events are counted even though neither sink shape renders them
+// the same way. The served stats.events figure relies on it.
+func TestMetricsSinkCountsLikeEventSink(t *testing.T) {
+	for _, entry := range workload.Corpus() {
+		if entry.Name != "figure1" && entry.Name != "star4" {
+			continue
+		}
+		for _, par := range []int{1, 4} {
+			keep, drop := obs.NewSink(), obs.NewMetricsSink()
+			kres, err := New(entry.Cat, Options{Obs: keep, Parallelism: par}).Optimize(entry.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dres, err := New(entry.Cat, Options{Obs: drop, Parallelism: par}).Optimize(entry.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k, d := keep.Len(), drop.Len(); k != d || k != int64(len(keep.Events())) {
+				t.Errorf("%s P%d: event-keeping Len %d (log %d), metrics-only Len %d",
+					entry.Name, par, k, len(keep.Events()), d)
+			}
+			if len(drop.Events()) != 0 {
+				t.Errorf("%s P%d: metrics-only sink kept %d events", entry.Name, par, len(drop.Events()))
+			}
+			if !reflect.DeepEqual(kres.Coverage, dres.Coverage) {
+				t.Errorf("%s P%d: coverage depends on the sink shape", entry.Name, par)
+			}
+		}
+	}
 }

@@ -109,6 +109,9 @@ type Result struct {
 	// Engine is the rule engine used (for inspecting registries in
 	// tests and tools).
 	Engine *star.Engine
+	// Coverage is the run's coverage summary, counted in typed counters
+	// during the run; nil when observability was off.
+	Coverage *Coverage
 
 	// arena owns the storage of every plan node this optimization built;
 	// Release recycles it.
@@ -226,6 +229,9 @@ func (o *Optimizer) Optimize(g *query.Graph) (*Result, error) {
 		prepSp.End(0)
 		return nil, err
 	}
+	if sink.Enabled() {
+		en.CountAlts()
+	}
 
 	table := glue.NewPlanTable()
 	table.PruneDisabled = o.Opts.DisablePruning
@@ -294,14 +300,17 @@ func (o *Optimizer) Optimize(g *query.Graph) (*Result, error) {
 		finSp := sink.StartSpan(obs.EvPhase, "finalize", "", 0)
 		phaseLabels(en, labels, "finalize")
 		publishMetrics(sink.Registry(), res)
-		emitCoverage(sink, rules, res)
+		res.Coverage = collectCoverage(rules, en, gl, res)
+		publishCoverage(sink, res.Coverage)
 		finSp.End(0)
 		// Phase/rank tallies flush after the finalize span closes so the
 		// exported deltas include it; repeat publishes stay exact.
 		if p := sink.Prof(); p != nil {
 			p.PublishMetrics(sink.Registry())
 		}
-		res.Trace = star.TraceFromEvents(sink.Events())
+		if sink.KeepsEvents() {
+			res.Trace = star.TraceFromEvents(sink.Events())
+		}
 	}
 	return res, nil
 }

@@ -20,8 +20,9 @@
 //     subset mask ("_t<mask>.<seq>"), so generated names are a function of
 //     the work item, not of scheduling order.
 //  3. Ordered merge: at the rank barrier the driver absorbs every task —
-//     events, metrics, stats, temps, and overlay writes — in ascending
-//     subset-mask order, the order a serial walk visits subsets in.
+//     events, metrics, stats, coverage tallies, temps, and overlay writes —
+//     in ascending subset-mask order, the order a serial walk visits
+//     subsets in.
 //
 // Parallelism: 1 runs the very same task/overlay/merge pipeline on the
 // calling goroutine, which is what makes the equivalence checkable rather
@@ -222,7 +223,9 @@ func (o *Optimizer) enumerate(g *query.Graph, en *star.Engine, gl *glue.Gluer, t
 			res.Stats.Pairs += t.pairs
 			sink.Absorb(t.sink)
 			en.Stats.Add(t.en.Stats)
+			en.MergeAlts(t.en)
 			gl.Stats.Add(t.gl.Stats)
+			gl.AddInjected(t.gl.Injected)
 			en.Cost.AbsorbTemps(t.en.Cost)
 			en.Cost.Arena.Absorb(t.en.Cost.Arena)
 			table.Absorb(t.table)

@@ -96,33 +96,14 @@ func assertEquivalent(t *testing.T, cat *catalog.Catalog, mkGraph func() *query.
 	}
 
 	// The coverage summary is part of the contract too: every observed run
-	// closes with one opt.alt.coverage event per alternative of the
-	// repertoire, and the parsed tallies — not just the raw event text —
-	// must agree across parallelism levels.
-	sc, pc := coverageTallies(t, serialSink), coverageTallies(t, parSink)
-	if len(sc) == 0 {
-		t.Fatalf("no %s events in the serial run's stream", obs.EvAltCoverage)
+	// returns one typed tally per alternative of the repertoire, and the
+	// tallies must agree across parallelism levels.
+	if serial.Coverage == nil || len(serial.Coverage.Alts) == 0 {
+		t.Fatal("serial run returned no coverage tallies")
 	}
-	if !reflect.DeepEqual(sc, pc) {
-		t.Errorf("coverage tallies diverge\nserial:   %+v\nparallel: %+v", sc, pc)
+	if !reflect.DeepEqual(serial.Coverage, par.Coverage) {
+		t.Errorf("coverage tallies diverge\nserial:   %+v\nparallel: %+v", serial.Coverage, par.Coverage)
 	}
-}
-
-// coverageTallies parses the run's opt.alt.coverage summary events.
-func coverageTallies(t *testing.T, sink *obs.Sink) []obs.AltCoverage {
-	t.Helper()
-	var out []obs.AltCoverage
-	for _, e := range sink.Events() {
-		if e.Name != obs.EvAltCoverage {
-			continue
-		}
-		c, ok := obs.ParseAltCoverage(e)
-		if !ok {
-			t.Fatalf("unparseable %s event: %+v", obs.EvAltCoverage, e)
-		}
-		out = append(out, c)
-	}
-	return out
 }
 
 func TestParallelMatchesSerialChain(t *testing.T) {

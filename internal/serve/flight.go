@@ -1,17 +1,16 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"net/http"
 	"time"
 
+	"stars/internal/exec"
 	"stars/internal/flight"
 	"stars/internal/obs"
 	"stars/internal/opt"
 	"stars/internal/prof"
-	"stars/internal/provenance"
 )
 
 // fnvHex digests a string to the repository's standard 16-hex-digit FNV-64a
@@ -26,20 +25,16 @@ func fnvHex(s string) string {
 
 // foldFlight folds one finished request into the flight recorder and, when
 // the watchdog fires, snapshots an incident bundle. Called from the
-// doLabeled defer after the request's event stream is final; no-op (and
-// allocation-free) when recording is disabled.
+// doLabeled defer once the request is final; no-op (and allocation-free)
+// when recording is disabled.
 func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.Sink,
-	res *opt.Result, status int, wall time.Duration, executed bool) {
+	res *opt.Result, status int, wall time.Duration, executed bool, feedback []exec.Feedback) {
 	if s.flight == nil {
 		return
 	}
-	par := s.cfg.Options.Parallelism
-	if par == 0 {
-		par = s.cfg.Parallelism
-	}
 	rec := flight.Record{
 		Req: reqID, Template: tmpl, SQL: req.SQL, Status: status,
-		WallNS: wall.Nanoseconds(), Parallelism: par,
+		WallNS: wall.Nanoseconds(), Parallelism: s.parallelism(),
 	}
 	if res != nil && res.Best != nil {
 		rec.PlanFP = res.Best.Fingerprint()
@@ -48,10 +43,8 @@ func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.S
 	}
 	if executed {
 		rec.Executed = true
-		for _, e := range sink.Events() {
-			if e.Name == obs.EvExecFeedback && e.F2 > rec.MaxQError {
-				rec.MaxQError = e.F2
-			}
+		for _, f := range feedback {
+			rec.MaxQError = max(rec.MaxQError, f.QError)
 		}
 	}
 
@@ -66,7 +59,7 @@ func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.S
 			s.reg.Counter("plan_flip_total").Add(1)
 		}
 	}
-	inc, err := s.flight.File(o, s.captureRequest(req, tmpl, sink, res))
+	inc, err := s.flight.File(o, s.captureRequest(reqID, req, tmpl, sink, feedback))
 	if err != nil {
 		s.reg.Counter("flight_incident_write_errors_total").Add(1)
 		s.cfg.Log.Printf("flight: %v", err)
@@ -80,17 +73,24 @@ func (s *Server) foldFlight(reqID, tmpl string, req OptimizeRequest, sink *obs.S
 	s.reg.Gauge("flight_incidents").Set(int64(st.Incidents))
 }
 
+// parallelism is the join-enumeration fan-out requests run with.
+func (s *Server) parallelism() int {
+	if p := s.cfg.Options.Parallelism; p != 0 {
+		return p
+	}
+	return s.cfg.Parallelism
+}
+
 // captureRequest builds the self-contained replay bundle for one anomalous
 // request: its SQL, the catalog as it stands right now (a stats mutation
 // since boot is exactly what a plan-flip capture wants on record), the rule
-// text, the options, the full event trace, the derivation DAG, and the
-// self-profile. Only runs on a watchdog trigger, so its cost is off the
+// text, the options, and the request's self-profile. Plain requests keep
+// no event log, so the event trace and the derivation DAG are re-derived
+// here by re-optimizing those captured inputs (flight.Capture.Derive);
+// an executed request's feedback rows follow the trace as exec.feedback
+// events. Only runs on a watchdog trigger, so its cost is off the
 // steady-state path.
-func (s *Server) captureRequest(req OptimizeRequest, tmpl string, sink *obs.Sink, res *opt.Result) flight.Capture {
-	par := s.cfg.Options.Parallelism
-	if par == 0 {
-		par = s.cfg.Parallelism
-	}
+func (s *Server) captureRequest(reqID string, req OptimizeRequest, tmpl string, sink *obs.Sink, feedback []exec.Feedback) flight.Capture {
 	w := s.cfg.Options.Weights
 	cap := flight.Capture{
 		SQL:          req.SQL,
@@ -99,7 +99,7 @@ func (s *Server) captureRequest(req OptimizeRequest, tmpl string, sink *obs.Sink
 		RulesHash:    s.rulesHash,
 		CatalogEpoch: s.catalogEpoch,
 		Options: flight.CapturedOptions{
-			Parallelism:       par,
+			Parallelism:       s.parallelism(),
 			JoinRoot:          s.cfg.Options.JoinRoot,
 			CartesianProducts: s.cfg.Options.CartesianProducts,
 			NoCompositeInners: s.cfg.Options.NoCompositeInners,
@@ -109,26 +109,18 @@ func (s *Server) captureRequest(req OptimizeRequest, tmpl string, sink *obs.Sink
 		},
 		Profile: prof.FromSink(sink),
 	}
-	if b, err := s.cfg.Catalog.MarshalJSONIndent(); err == nil {
-		cap.Catalog = b
-	} else {
+	b, err := s.cfg.Catalog.MarshalJSONIndent()
+	if err != nil {
 		s.cfg.Log.Printf("flight: catalog capture: %v", err)
+		return cap
 	}
-	events := sink.Events()
-	cap.Events = make([]obs.WireEvent, 0, len(events))
-	for _, e := range events {
-		cap.Events = append(cap.Events, obs.Wire(e))
+	cap.Catalog = b
+	tail := make([]obs.Event, len(feedback))
+	for i, f := range feedback {
+		tail[i] = f.Event()
 	}
-	if res != nil {
-		if dag, err := provenance.FromResult(res); err == nil {
-			var buf bytes.Buffer
-			if err := dag.WriteJSON(&buf); err == nil {
-				cap.Provenance = buf.Bytes()
-				cap.ProvenanceChecksum = dag.Checksum()
-			}
-		} else {
-			s.cfg.Log.Printf("flight: provenance capture: %v", err)
-		}
+	if err := cap.Derive(reqID, tail); err != nil {
+		s.cfg.Log.Printf("flight: %v", err)
 	}
 	return cap
 }

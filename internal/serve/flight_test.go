@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"stars/internal/flight"
+	"stars/internal/obs"
 	"stars/internal/workload"
 )
 
@@ -151,6 +152,22 @@ func TestFlightQErrorIncidentEndToEnd(t *testing.T) {
 	if cap.CatalogEpoch == "" || cap.RulesHash == "" || cap.RulesHash != inc.Record.RulesHash {
 		t.Fatalf("identity stamps missing: %+v", cap)
 	}
+	// The trace is re-derived at capture time under the request's id, and
+	// the request's feedback rows follow it as exec.feedback events.
+	feedback := 0
+	for i, e := range cap.Events {
+		if e.Req != inc.Record.Req {
+			t.Fatalf("event %d tagged %q, want %q", i, e.Req, inc.Record.Req)
+		}
+		if e.Name == obs.EvExecFeedback {
+			feedback++
+		} else if feedback > 0 {
+			t.Fatalf("event %d (%s) follows the feedback rows", i, e.Name)
+		}
+	}
+	if feedback == 0 {
+		t.Fatal("capture carries no exec.feedback events")
+	}
 
 	// Replay reproduces the captured plan and derivation exactly.
 	rr, err := flight.Replay(inc)
@@ -250,6 +267,47 @@ func TestFlightPlanFlipIncident(t *testing.T) {
 	}
 }
 
+// TestFlightPlanFlipNeedsSameSQL: two literals of one template plan to
+// different fingerprints without a flip; the same SQL text planning
+// differently after a stats mutation still files one.
+func TestFlightPlanFlipNeedsSameSQL(t *testing.T) {
+	cat := workload.EmpDept()
+	cfg := Config{Catalog: cat, Demo: true}
+	cfg.Flight = aggressiveFlight(t.TempDir())
+	cfg.Flight.LatencyFactor = 1e9 // isolate the flip path
+	s := newTestServer(t, cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	other := strings.ReplaceAll(figure1SQL, "'Haas'", "'Lohman'")
+	fps := map[string]bool{}
+	for _, sql := range []string{figure1SQL, other, figure1SQL, other} {
+		status, resp, _ := postOptimize(t, ts.URL, OptimizeRequest{SQL: sql})
+		if status != 200 {
+			t.Fatal("optimize failed")
+		}
+		fps[resp.Plan.Fingerprint] = true
+	}
+	if len(fps) != 2 {
+		t.Fatalf("the two literals planned to %d fingerprints, want 2", len(fps))
+	}
+	if got := s.Registry().Counter("plan_flip_total").Value(); got != 0 {
+		t.Fatalf("literals of one template filed %d plan flips", got)
+	}
+
+	cat.Table("EMP").Card = 50 // stats shift: the index-scan plan loses
+	if status, _, _ := postOptimize(t, ts.URL, OptimizeRequest{SQL: other}); status != 200 {
+		t.Fatal("optimize failed")
+	}
+	incs := s.flight.Incidents()
+	if len(incs) != 1 || incs[0].Kind != flight.KindPlanFlip {
+		t.Fatalf("incidents = %+v", incs)
+	}
+	if prev := incs[0].Prev; prev == nil || prev.SQL != other || prev.PlanFP == incs[0].Record.PlanFP {
+		t.Fatalf("flip prev = %+v, want the earlier record of the same SQL", prev)
+	}
+}
+
 func TestFlightDebugEndpoint(t *testing.T) {
 	cfg := Config{}
 	cfg.Flight = aggressiveFlight("")
@@ -334,7 +392,7 @@ func TestFlightDisabledFoldZeroAlloc(t *testing.T) {
 	s := newTestServer(t, Config{DisableFlight: true})
 	req := OptimizeRequest{SQL: figure1SQL}
 	allocs := testing.AllocsPerRun(100, func() {
-		s.foldFlight("r1", "tmpl", req, nil, nil, 200, time.Millisecond, false)
+		s.foldFlight("r1", "tmpl", req, nil, nil, 200, time.Millisecond, false, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled flight fold allocates: %v allocs/op", allocs)

@@ -6,11 +6,15 @@
 //
 // The concurrency design is per-request isolation: every /optimize request
 // gets its own obs.Sink tagged with a request id, so concurrent
-// optimizations never interleave their traces. Each event is tee'd to the
-// live /events fan-out (bounded per-subscriber buffers, drops counted, slow
-// tails never stall an optimization), and each request's private metrics
-// registry is merged into the server's process-wide registry after the
-// request, keeping /metrics an exact aggregate of per-request figures.
+// optimizations never interleave their traces. A plain request's sink keeps
+// metrics but no event log — coverage and executor feedback reach the
+// ledger and the flight recorder as typed values. A request that asks for
+// provenance, or starts while an /events subscriber is connected, keeps its
+// log, and each event is tee'd to the live /events fan-out (bounded
+// per-subscriber buffers, drops counted, slow tails never stall an
+// optimization). Each request's private metrics registry is merged into the
+// server's process-wide registry after the request, keeping /metrics an
+// exact aggregate of per-request figures.
 //
 // Operationally: an admission gate bounds in-flight optimizations
 // (Config.MaxInflight, excess rejected with 503), a per-request timeout
@@ -571,8 +575,17 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	}
 	start := time.Now()
 	allocs0 := obs.HeapAllocs()
-	sink := obs.NewRequestSink(reqID)
-	sink.Tee(s.bcast.publish)
+	// A plain request pays only for its answer: its sink keeps metrics,
+	// the profiler, and the event count, but no event log. The log is
+	// kept when something reads it — the request's own provenance DAG,
+	// or an /events subscriber connected when the request starts.
+	var sink *obs.Sink
+	if req.Provenance || s.bcast.active() {
+		sink = obs.NewRequestSink(reqID)
+		sink.Tee(s.bcast.publish)
+	} else {
+		sink = obs.NewRequestMetricsSink(reqID)
+	}
 	if !s.cfg.DisableProfiling {
 		sink.EnableProf(obs.ProfOptions{})
 	}
@@ -597,22 +610,27 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 		s.profRequests++
 		s.profMu.Unlock()
 	}()
-	// LIFO puts this after the EvRequestDone emit below, so the whole
-	// stream is final: fold it into the rolling coverage/Q-error ledger
-	// and refresh the derived gauges (counters reach the registry via the
-	// merge above), then into the flight recorder — whose watchdog wants
-	// the complete trace (exec.feedback included) in its captures.
+	// LIFO puts this after the EvRequestDone emit below, so the request is
+	// final: fold its typed coverage and feedback into the rolling
+	// coverage/Q-error ledger and refresh the derived gauges (counters
+	// reach the registry via the merge above), then into the flight
+	// recorder.
 	status := http.StatusOK
 	var (
 		flightRes  *opt.Result
 		flightExec bool
+		feedback   []exec.Feedback
 	)
 	defer func() {
-		s.ledger.Record(tmpl, sink.Events())
+		var cov *opt.Coverage
+		if flightRes != nil {
+			cov = flightRes.Coverage
+		}
+		s.ledger.Record(tmpl, cov, feedback)
 		s.ledger.PublishMetrics(s.reg, s.rules)
-		s.foldFlight(reqID, tmpl, req, sink, flightRes, status, time.Since(start), flightExec)
+		s.foldFlight(reqID, tmpl, req, sink, flightRes, status, time.Since(start), flightExec, feedback)
 		// Every consumer of the result is done (the response is rendered,
-		// incident captures serialize plans to JSON): recycle the plan
+		// the ledger and the recorder have folded it): recycle the plan
 		// arena so steady-state serving reuses slabs instead of growing
 		// the heap per request.
 		if flightRes != nil {
@@ -643,6 +661,7 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 		return fail(http.StatusBadRequest, err)
 	}
 	opts := s.cfg.Options
+	opts.Rules = s.rules // parsed once at boot; never mutated by Optimize
 	opts.Obs = sink
 	if opts.Parallelism == 0 {
 		opts.Parallelism = s.cfg.Parallelism
@@ -689,12 +708,13 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	}
 
 	if req.Execute || req.Analyze {
-		ex, err := s.execute(sink, res, g, req)
+		ex, fb, err := s.execute(sink, res, g, req)
 		if err != nil {
 			return fail(http.StatusInternalServerError, fmt.Errorf("execute: %w", err))
 		}
 		resp.Execution = ex
 		flightExec = true
+		feedback = fb
 	}
 
 	resp.Stats = statsJSON(res.Stats, sink.Len())
@@ -710,9 +730,11 @@ func (s *Server) explain(p *plan.Node, verbose bool) string {
 	return plan.Explain(p)
 }
 
-// execute runs the chosen plan against the daemon's data. Runs are
-// serialized: the storage cluster's resource counters are per-run state.
-func (s *Server) execute(sink *obs.Sink, res *opt.Result, g *query.Graph, req OptimizeRequest) (*ExecutionJSON, error) {
+// execute runs the chosen plan against the daemon's data and returns the
+// response section plus the executor's per-operator feedback rows (analyze
+// requests only). Runs are serialized: the storage cluster's resource
+// counters are per-run state.
+func (s *Server) execute(sink *obs.Sink, res *opt.Result, g *query.Graph, req OptimizeRequest) (*ExecutionJSON, []exec.Feedback, error) {
 	s.execMu.Lock()
 	defer s.execMu.Unlock()
 	rt := exec.NewRuntime(s.cluster, s.cfg.Catalog)
@@ -720,7 +742,7 @@ func (s *Server) execute(sink *obs.Sink, res *opt.Result, g *query.Graph, req Op
 	rt.CollectOpStats = req.Analyze
 	er, err := rt.Run(res.Best)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	limit := req.Limit
 	if limit == 0 {
@@ -734,7 +756,7 @@ func (s *Server) execute(sink *obs.Sink, res *opt.Result, g *query.Graph, req Op
 	if req.Analyze {
 		out.Analyze = plan.ExplainAnalyze(res.Best, exec.Actuals(er, w))
 	}
-	return out, nil
+	return out, er.Feedback, nil
 }
 
 // writeJSON writes a JSON response body.

@@ -64,6 +64,14 @@ func (b *broadcaster) publish(e obs.Event) {
 	b.mu.RUnlock()
 }
 
+// active reports whether any subscriber is connected — a request started
+// while none is keeps no event log.
+func (b *broadcaster) active() bool {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return len(b.subs) > 0
+}
+
 // subscribe registers a new bounded subscriber; nil after closeAll.
 func (b *broadcaster) subscribe(buf int) *subscriber {
 	b.mu.Lock()

@@ -182,6 +182,10 @@ type Alt struct {
 	origin string
 }
 
+// Origin returns the "<rule>#<n>" provenance tag plans built by the
+// alternative carry (plan.Node.Origin).
+func (a *Alt) Origin() string { return a.origin }
+
 // WalkCalls invokes f for every Call node in the rule's alternatives
 // (bodies and conditions) and where-bindings, in source order. The linter's
 // graph passes are built on it.

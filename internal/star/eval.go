@@ -84,6 +84,14 @@ func (s *Stats) Add(o Stats) {
 	s.HelperCalls += o.HelperCalls
 }
 
+// AltTally is one alternative's typed coverage counters over an
+// optimization: Fired counts condition-held evaluations, Rejected condition
+// failures (and OTHERWISE arms skipped because an earlier alternative
+// fired), Built the plans its body produced.
+type AltTally struct {
+	Fired, Rejected, Built int64
+}
+
 // TraceEntry records one STAR reference for explain-origin output. Entries
 // are derived from the observability event stream (TraceFromEvents); the
 // engine itself only emits obs events.
@@ -146,6 +154,11 @@ type Engine struct {
 	depth    int
 	tempSeq  int
 	ixSeq    int
+	// alts, when non-nil (CountAlts), holds one tally per alternative of
+	// Rules; altBase maps each rule to its first alternative's slot. The
+	// index is built once per optimization and shared read-only by forks.
+	alts    []AltTally
+	altBase map[*Rule]int
 	// namePrefix namespaces NextTempName/NextIndexName ("" on the root
 	// engine; a subset-task id on forked engines) so names generated by
 	// concurrent workers are unique and — because the prefix derives from
@@ -188,7 +201,7 @@ func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink, namePrefix string) *En
 	for name, h := range en.helpers {
 		helpers[name] = h
 	}
-	return &Engine{
+	f := &Engine{
 		Rules:       en.Rules,
 		Cost:        costEnv,
 		QueryTables: en.QueryTables,
@@ -197,9 +210,44 @@ func (en *Engine) Fork(costEnv *cost.Env, sink *obs.Sink, namePrefix string) *En
 		builders:    builders,
 		helpers:     helpers,
 		declared:    en.declared.Clone(),
+		altBase:     en.altBase,
 		namePrefix:  namePrefix,
 	}
+	if en.alts != nil {
+		f.alts = make([]AltTally, len(en.alts))
+	}
+	return f
 }
+
+// CountAlts turns on the typed per-alternative coverage counters: from now
+// on every reference tallies each alternative's firings, rejections, and
+// built plans. Forks made afterwards count too; fold them back with
+// MergeAlts.
+func (en *Engine) CountAlts() {
+	en.altBase = make(map[*Rule]int, len(en.Rules.order))
+	n := 0
+	for _, name := range en.Rules.order {
+		r := en.Rules.rules[name]
+		en.altBase[r] = n
+		n += len(r.Alts)
+	}
+	en.alts = make([]AltTally, n)
+}
+
+// MergeAlts adds a fork's alternative tallies into en's.
+func (en *Engine) MergeAlts(o *Engine) {
+	for i, t := range o.alts {
+		a := &en.alts[i]
+		a.Fired += t.Fired
+		a.Rejected += t.Rejected
+		a.Built += t.Built
+	}
+}
+
+// AltTallies returns the per-alternative tallies in repertoire order — rules
+// in RuleSet.Names order, each rule's alternatives in definition order — or
+// nil when CountAlts was not called.
+func (en *Engine) AltTallies() []AltTally { return en.alts }
 
 // RegisterBuilder installs a LOLEPOP builder under its reference name
 // (conventionally ALL CAPS, as in the paper's notation).
@@ -254,8 +302,14 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 	en.Stats.RuleRefs++
 	var sp obs.Span
 	if en.Obs.Enabled() {
-		// renderArgs allocates, so the span opens only behind the guard.
-		sp = en.Obs.StartSpan(obs.EvRule, name, renderArgs(args), en.depth)
+		// renderArgs allocates, so the arguments are rendered only for a
+		// sink that streams its events; metrics-only sinks time the span
+		// by rule name alone.
+		var rendered string
+		if en.Obs.Streams() {
+			rendered = renderArgs(args)
+		}
+		sp = en.Obs.StartSpan(obs.EvRule, name, rendered, en.depth)
 	}
 	defer func() {
 		sp.End(int64(len(out)))
@@ -291,6 +345,11 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 		frame[let.Name] = v
 	}
 
+	var tally []AltTally
+	if en.alts != nil {
+		base := en.altBase[rule]
+		tally = en.alts[base : base+len(rule.Alts)]
+	}
 	seen := map[uint64]bool{}
 	fired := false
 	for i, alt := range rule.Alts {
@@ -315,6 +374,9 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 		}
 		if !applicable {
 			en.Stats.AltsRejected++
+			if tally != nil {
+				tally[i].Rejected++
+			}
 			if en.Obs.Enabled() {
 				// Name the failing condition of applicability so WHYNOT
 				// can cite it; rendering allocates, so only when observed.
@@ -345,6 +407,10 @@ func (en *Engine) EvalRule(name string, args []Value) (out []*plan.Node, err err
 				seen[k] = true
 				out = append(out, p)
 			}
+		}
+		if tally != nil {
+			tally[i].Fired++
+			tally[i].Built += int64(len(v.SAP))
 		}
 		if en.Obs.Enabled() {
 			en.Obs.Emit(obs.Event{Name: obs.EvAltFired, A1: name, Depth: en.depth + 1, N1: int64(i + 1), N2: int64(len(v.SAP))})

@@ -433,7 +433,7 @@ func ReadProvenance(r io.Reader) (*ProvenanceDAG, error) { return provenance.Rea
 func DiffProvenance(a, b *ProvenanceDAG) *ProvenanceDiffReport { return provenance.Diff(a, b) }
 
 // CoverageAccumulator aggregates per-alternative coverage across runs: feed
-// it the event streams of observed optimizations (AddEvents) or saved
+// it the Result.Coverage tallies of observed optimizations (Add) or saved
 // provenance DAGs (AddDAG), then render with its Report method. See
 // docs/COVERAGE.md and `starburst cover`.
 type CoverageAccumulator = coverage.Accumulator
