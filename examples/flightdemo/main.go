@@ -1,13 +1,14 @@
 // Command flightdemo demonstrates the serving optimizer's flight recorder
 // end to end: it starts a `starburst serve` daemon in-process, optimizes
-// the paper's Figure 1 query to establish the template's plan history,
+// the paper's Figure 1 query to establish the query's plan history,
 // then mutates the catalog's EMP cardinality in place — the classic
 // "stats refresh landed" scenario — and optimizes again. The optimizer
 // now picks a different plan for an unchanged query under an unchanged
 // catalog *epoch*, the plan-stability watchdog flags the flip, and an
 // incident bundle (schema stars/incident/v1) is captured with everything
-// a post-mortem needs: SQL, rules, the mutated catalog, the event trace,
-// the derivation DAG, and the recent-request ring.
+// a post-mortem needs: SQL, rules, the mutated catalog, the event trace
+// and the derivation DAG (re-derived from those inputs at capture time),
+// and the recent-request ring.
 //
 // The demo then replays the incident from the bundle alone and prints the
 // verdict: the replay re-derives the captured search space exactly,
@@ -93,7 +94,7 @@ func main() {
 	if fp1 == fp2 {
 		fatal(fmt.Errorf("expected the stats mutation to flip the plan (%s unchanged)", fp1))
 	}
-	fmt.Printf("plan flipped: %s -> %s, same template, same catalog epoch\n\n", fp1, fp2)
+	fmt.Printf("plan flipped: %s -> %s, same SQL, same catalog epoch\n\n", fp1, fp2)
 
 	fmt.Println("=== 3. the watchdog filed an incident ===")
 	var listing struct {

@@ -104,8 +104,8 @@ func TestServeOptimizeAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("figure1 /optimize: %.0f allocs/op", allocs)
-	// Measured at 2243 (2290 under -race) on go1.24; the parent design,
-	// which recorded every request's event log, took ~4000.
+	// Measured at 2243 (2290 under -race) on go1.24; keeping the request's
+	// event log adds ~1700 more.
 	const ceiling = 2600
 	if allocs > ceiling {
 		t.Errorf("figure1 /optimize allocates %.0f/op, ceiling %d", allocs, ceiling)

@@ -663,9 +663,7 @@ func (s *Server) doLabeled(reqID, tmpl string, req OptimizeRequest) outcome {
 	opts := s.cfg.Options
 	opts.Rules = s.rules // parsed once at boot; never mutated by Optimize
 	opts.Obs = sink
-	if opts.Parallelism == 0 {
-		opts.Parallelism = s.cfg.Parallelism
-	}
+	opts.Parallelism = s.parallelism()
 	res, err := opt.New(s.cfg.Catalog, opts).Optimize(g)
 	if err != nil {
 		return fail(http.StatusUnprocessableEntity, err)
